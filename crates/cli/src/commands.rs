@@ -1,6 +1,5 @@
 //! The subcommand implementations.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -14,7 +13,6 @@ use cloudalloc_simulator::{
 };
 use cloudalloc_telemetry as telemetry;
 use cloudalloc_workload::{generate, FaultPlan, FaultRecord, ScenarioConfig};
-use serde::{Deserialize, Value};
 
 use crate::args::{ArgError, Parsed};
 
@@ -478,166 +476,6 @@ fn cmd_baseline(parsed: &Parsed) -> Result<String, CliError> {
     Ok(table.to_string())
 }
 
-/// Per-span-name aggregate built from `"span"` JSONL records.
-#[derive(Default)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-}
-
-fn jerr(e: serde::Error) -> CliError {
-    CliError::Json(e.into())
-}
-
-/// Summarizes a telemetry JSONL file (as produced by `--telemetry-out`):
-/// span timing aggregates, final counter values, histogram quantiles and
-/// a tally of every other event type. Works in every build — the report
-/// only *reads* JSONL, so it needs no telemetry feature.
-fn cmd_telemetry_report(parsed: &Parsed) -> Result<String, CliError> {
-    let path = parsed.require("--in")?;
-    let text = fs::read_to_string(path)?;
-
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    // Counters keep their *last* flushed value: a run may flush more than
-    // once and each flush writes the cumulative total.
-    let mut counters: BTreeMap<String, String> = BTreeMap::new();
-    let mut hists: BTreeMap<String, [u64; 5]> = BTreeMap::new();
-    let mut events: BTreeMap<String, u64> = BTreeMap::new();
-    // Flight-recorder records are skipped here (this is the flat
-    // summary; `trace-report` owns the causal view) but counted, so a
-    // dense trace doesn't masquerade as a pile of domain events. A
-    // `span_start` whose matching `span` end (same id) is aggregated in
-    // the span table is the *same* span, not an extra record: ends
-    // consume their starts, and only unmatched (unclosed) starts are
-    // tallied as skipped.
-    let mut open_starts: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    let mut orphan_starts = 0u64;
-    let mut mem_samples = 0u64;
-    let mut lines = 0u64;
-
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        lines += 1;
-        let v: Value = serde_json::from_str(line).map_err(|e| {
-            CliError::Json(serde_json::Error::from(serde::Error::custom(format!(
-                "{path}:{}: {e}",
-                idx + 1
-            ))))
-        })?;
-        let ty = v.field("t").and_then(Value::as_str).map_err(jerr)?;
-        match ty {
-            "span" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let ns = u64::from_value(v.field("ns").map_err(jerr)?).map_err(jerr)?;
-                let agg = spans.entry(name.to_string()).or_default();
-                agg.count += 1;
-                agg.total_ns += ns;
-                agg.max_ns = agg.max_ns.max(ns);
-                // An extended (flight-recorder) end names its start.
-                if let Ok(id) = v.field("id").and_then(u64::from_value) {
-                    open_starts.remove(&id);
-                }
-            }
-            "counter" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let value = u64::from_value(v.field("value").map_err(jerr)?).map_err(jerr)?;
-                counters.insert(name.to_string(), value.to_string());
-            }
-            "fcounter" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let value = f64::from_value(v.field("value").map_err(jerr)?).map_err(jerr)?;
-                counters.insert(name.to_string(), format!("{value:.4}"));
-            }
-            "hist" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let mut row = [0u64; 5];
-                for (slot, field) in row.iter_mut().zip(["count", "p50", "p90", "p99", "max"]) {
-                    *slot = u64::from_value(v.field(field).map_err(jerr)?).map_err(jerr)?;
-                }
-                hists.insert(name.to_string(), row);
-            }
-            "span_start" => match v.field("id").and_then(u64::from_value) {
-                Ok(id) => {
-                    open_starts.insert(id);
-                }
-                Err(_) => orphan_starts += 1,
-            },
-            "mem" => mem_samples += 1,
-            // Any record type this report doesn't understand — domain
-            // events and whatever future recorders emit — is tallied by
-            // type instead of silently dropped or misparsed.
-            other => *events.entry(other.to_string()).or_insert(0) += 1,
-        }
-    }
-
-    let mut out = format!("telemetry report for {path} ({lines} lines)\n");
-    if !spans.is_empty() {
-        let mut table = Table::new(vec![
-            "span".into(),
-            "count".into(),
-            "total_ms".into(),
-            "mean_us".into(),
-            "max_us".into(),
-        ]);
-        for (name, agg) in &spans {
-            table.row(vec![
-                name.clone(),
-                agg.count.to_string(),
-                format!("{:.3}", agg.total_ns as f64 / 1e6),
-                format!("{:.1}", agg.total_ns as f64 / agg.count.max(1) as f64 / 1e3),
-                format!("{:.1}", agg.max_ns as f64 / 1e3),
-            ]);
-        }
-        out.push_str("\nspans\n");
-        out.push_str(&table.to_string());
-    }
-    if !counters.is_empty() {
-        let mut table = Table::new(vec!["counter".into(), "value".into()]);
-        for (name, value) in &counters {
-            table.row(vec![name.clone(), value.clone()]);
-        }
-        out.push_str("\ncounters\n");
-        out.push_str(&table.to_string());
-    }
-    if !hists.is_empty() {
-        let mut table = Table::new(vec![
-            "histogram".into(),
-            "count".into(),
-            "p50".into(),
-            "p90".into(),
-            "p99".into(),
-            "max".into(),
-        ]);
-        for (name, row) in &hists {
-            let mut cells = vec![name.clone()];
-            cells.extend(row.iter().map(u64::to_string));
-            table.row(cells);
-        }
-        out.push_str("\nhistograms\n");
-        out.push_str(&table.to_string());
-    }
-    if !events.is_empty() {
-        let mut table = Table::new(vec!["event".into(), "count".into()]);
-        for (name, count) in &events {
-            table.row(vec![name.clone(), count.to_string()]);
-        }
-        out.push_str("\nevents\n");
-        out.push_str(&table.to_string());
-    }
-    let span_starts = open_starts.len() as u64 + orphan_starts;
-    if span_starts + mem_samples > 0 {
-        out.push_str(&format!(
-            "\nflight recorder: skipped {span_starts} span-start and {mem_samples} memory \
-             records; run `trace-report --in {path}` for the causal tree and timeline\n"
-        ));
-    }
-    Ok(out)
-}
-
 /// The help text.
 pub const HELP: &str = "cloudalloc — SLA-driven profit-maximizing cloud resource allocation
 
@@ -667,7 +505,6 @@ COMMANDS
             [--init N] [--telemetry-out FILE]
   client    (--addr HOST:PORT | --addr-file FILE) --script FILE
             [--out FILE]
-  telemetry-report  --in FILE
   trace-report  --in FILE [--perfetto FILE] [--top K]
   help
 
@@ -694,12 +531,13 @@ and escalating to a full re-solve when repaired profit drops below
 --degradation-threshold × the pre-fault profit.
 
 Builds with the `telemetry` feature stream solver spans, counters and
-events to --telemetry-out as JSONL; `telemetry-report` summarizes such a
-file. Spans carry process-unique ids and parent links (causal trees
-across parallel fan-outs) and a background sampler adds a memory
-timeline; `trace-report` rebuilds the span forest from the same JSONL,
-prints self-time hotspots plus per-dispatch critical-path/imbalance
-numbers, and exports a Perfetto/Chrome-trace timeline with --perfetto.
+events to --telemetry-out as JSONL. Spans carry process-unique ids and
+parent links (causal trees across parallel fan-outs) and a background
+sampler adds a memory timeline; `trace-report` rebuilds the span forest
+from such a file, prints self-time hotspots, the final counter and
+histogram values, a tally of the other records and per-dispatch
+critical-path/imbalance numbers, and exports a Perfetto/Chrome-trace
+timeline with --perfetto.
 Telemetry never changes results: allocations are bit-identical with the
 feature on, off, or recording suppressed.
 ";
@@ -720,7 +558,6 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
         "baseline" => cmd_baseline(parsed),
         "epochs" => cmd_epochs(parsed),
         "gen-faults" => cmd_gen_faults(parsed),
-        "telemetry-report" => cmd_telemetry_report(parsed),
         "serve" => crate::serve::cmd_serve(parsed),
         "client" => crate::serve::cmd_client(parsed),
         "trace-report" => crate::trace::cmd_trace_report(parsed),
@@ -744,6 +581,7 @@ impl McWorst for cloudalloc_baselines::McOutcome {
 mod tests {
     use super::*;
     use crate::args::Parsed;
+    use serde::Value;
 
     fn parse(words: &[&str]) -> Parsed {
         Parsed::parse(words.iter().map(|s| s.to_string())).unwrap()
@@ -1160,80 +998,54 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_report_summarizes_a_jsonl_file() {
-        let path = temp_path("telemetry_sample.jsonl");
+    fn trace_report_summarizes_metrics_and_other_records() {
+        let path = temp_path("trace_metrics.jsonl");
         fs::write(
             &path,
             concat!(
                 "{\"t\":\"meta\",\"ts\":0,\"version\":1}\n",
                 "{\"t\":\"span\",\"ts\":10,\"name\":\"solve.round\",\"depth\":0,\"ns\":1500}\n",
-                "{\"t\":\"span\",\"ts\":20,\"name\":\"solve.round\",\"depth\":0,\"ns\":2500}\n",
                 "{\"t\":\"progress\",\"ts\":30,\"msg\":\"working\"}\n",
                 "{\"t\":\"counter\",\"ts\":40,\"name\":\"op.swap.tried\",\"value\":12}\n",
                 "{\"t\":\"fcounter\",\"ts\":50,\"name\":\"op.swap.gain\",\"value\":1.5}\n",
                 "{\"t\":\"hist\",\"ts\":60,\"name\":\"incr.rollback_depth\",\"count\":4,\
-                 \"sum\":10,\"p50\":2,\"p90\":3,\"p99\":3,\"max\":4}\n",
+                 \"sum\":10,\"p50\":2,\"p90\":3,\"p99\":7,\"max\":9}\n",
                 "{\"t\":\"solve\",\"ts\":70,\"seed\":0,\"profit\":12.5}\n",
+                "{\"t\":\"quux\",\"ts\":75,\"payload\":42}\n",
+                "{\"t\":\"quux\",\"ts\":76,\"payload\":43}\n",
+                // A second flush writes the cumulative total: the last
+                // value of a counter wins.
+                "{\"t\":\"counter\",\"ts\":80,\"name\":\"op.swap.tried\",\"value\":31}\n",
             ),
         )
         .unwrap();
-        let out = run(&parse(&["telemetry-report", "--in", &path])).unwrap();
-        assert!(out.contains("8 lines"), "line count missing:\n{out}");
-        assert!(out.contains("solve.round"));
-        assert!(out.contains("op.swap.tried"));
-        assert!(out.contains("op.swap.gain"));
-        assert!(out.contains("incr.rollback_depth"));
-        // Two span records of 1500 + 2500 ns → mean 2.0 µs.
-        assert!(out.contains("2.0"), "span mean missing:\n{out}");
-        // meta / progress / solve all land in the event tally.
-        for ev in ["meta", "progress", "solve"] {
-            assert!(out.contains(ev), "event {ev} missing:\n{out}");
+        let out = run(&parse(&["trace-report", "--in", &path])).unwrap();
+        let row = |first: &str| {
+            out.lines()
+                .find(|l| l.split_whitespace().next() == Some(first))
+                .unwrap_or_else(|| panic!("no {first} row:\n{out}"))
+                .split_whitespace()
+                .skip(1)
+                .collect::<Vec<_>>()
+        };
+        assert!(out.contains("solve.round"), "hotspot missing:\n{out}");
+        assert_eq!(row("op.swap.tried"), ["31"], "last counter value must win");
+        assert_eq!(row("op.swap.gain"), ["1.5000"]);
+        assert_eq!(row("incr.rollback_depth"), ["4", "2", "3", "7", "9"]);
+        for (ty, count) in [("meta", "1"), ("progress", "1"), ("solve", "1"), ("quux", "2")] {
+            assert_eq!(row(ty), [count], "tally of {ty}");
         }
+        // Metric tables follow the hotspots.
+        let (hotspots, counters) =
+            (out.find("hotspots").unwrap(), out.find("\ncounters\n").unwrap());
+        assert!(hotspots < counters, "table order:\n{out}");
     }
 
     #[test]
-    fn telemetry_report_skips_and_counts_unfamiliar_record_types() {
-        // Flight-recorder records and record types from future recorder
-        // versions must be counted, never conflated into the span table
-        // or rejected as errors.
-        let path = temp_path("telemetry_future.jsonl");
-        fs::write(
-            &path,
-            concat!(
-                "{\"t\":\"span_start\",\"ts\":5,\"id\":1,\"parent\":0,\
-                 \"name\":\"solve.total\",\"tid\":1}\n",
-                "{\"t\":\"span\",\"ts\":10,\"name\":\"solve.total\",\"depth\":0,\"ns\":5,\
-                 \"id\":1,\"parent\":0,\"tid\":1}\n",
-                "{\"t\":\"mem\",\"ts\":12,\"rss_bytes\":1,\"hwm_bytes\":2,\
-                 \"staging_bytes\":0,\"staging_peak_bytes\":0}\n",
-                "{\"t\":\"quux\",\"ts\":15,\"payload\":42}\n",
-                "{\"t\":\"quux\",\"ts\":16,\"payload\":43}\n",
-            ),
-        )
-        .unwrap();
-        let out = run(&parse(&["telemetry-report", "--in", &path])).unwrap();
-        assert!(out.contains("5 lines"), "line count missing:\n{out}");
-        // The span end aggregates in the span table; its paired start
-        // (same id) is the *same* span and must not be double-counted
-        // into the skipped tally — only the mem record is skipped.
-        assert!(out.contains("solve.total"), "span table missing:\n{out}");
-        assert!(
-            out.contains("skipped 0 span-start and 1 memory records"),
-            "flight-recorder tally wrong:\n{out}"
-        );
-        assert!(out.contains("trace-report"), "no pointer to trace-report:\n{out}");
-        // The future type lands in the tally with its count.
-        assert!(out.contains("quux"), "future record type dropped:\n{out}");
-        assert!(out.lines().any(|l| l.contains("quux") && l.contains('2')), "count lost:\n{out}");
-    }
-
-    #[test]
-    fn telemetry_report_counts_span_pairs_once() {
-        // Regression: a `span_start`/`span` pair sharing an id used to
-        // contribute both a span-table row *and* a "skipped span-start"
-        // tally. Paired starts are consumed by their end record; only
-        // genuinely unclosed starts count as skipped.
-        let path = temp_path("telemetry_pairs.jsonl");
+    fn trace_report_counts_span_pairs_once() {
+        // A `span_start`/`span` pair sharing an id is one span; a start
+        // whose end never arrived is one unclosed span.
+        let path = temp_path("trace_pairs.jsonl");
         fs::write(
             &path,
             concat!(
@@ -1246,13 +1058,14 @@ mod tests {
             ),
         )
         .unwrap();
-        let out = run(&parse(&["telemetry-report", "--in", &path])).unwrap();
-        // id=2 paired (counted once, in the span table); id=1 unclosed.
-        assert!(out.contains("solve.round"), "span table missing:\n{out}");
-        assert!(
-            out.contains("skipped 1 span-start and 0 memory records"),
-            "unclosed-start tally wrong:\n{out}"
-        );
+        let out = run(&parse(&["trace-report", "--in", &path])).unwrap();
+        assert!(out.contains("2 spans in 1 trees"), "span pairs miscounted:\n{out}");
+        assert!(out.contains("1 unclosed"), "unclosed start not reported:\n{out}");
+        let round = out
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some("solve.round"))
+            .expect("hotspot row");
+        assert_eq!(round.split_whitespace().nth(1), Some("1"), "pair counted twice:\n{out}");
     }
 
     #[test]
@@ -1295,11 +1108,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_report_rejects_malformed_lines() {
-        let path = temp_path("telemetry_bad.jsonl");
+    fn trace_report_rejects_malformed_lines() {
+        let path = temp_path("trace_bad.jsonl");
         fs::write(&path, "{\"t\":\"meta\",\"ts\":0,\"version\":1}\nnot json\n").unwrap();
-        let err = run(&parse(&["telemetry-report", "--in", &path])).unwrap_err();
-        assert!(err.to_string().contains(":2:"), "no line number in: {err}");
+        let err = run(&parse(&["trace-report", "--in", &path])).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "no line number in: {err}");
     }
 
     #[test]
@@ -1334,8 +1147,8 @@ mod tests {
             let text = fs::read_to_string(&jsonl_path).unwrap();
             assert!(text.starts_with("{\"t\":\"meta\""), "no meta header:\n{text}");
             assert!(text.contains("\"t\":\"span\""), "no spans captured");
-            // The summary command digests what the solve just wrote.
-            let report = run(&parse(&["telemetry-report", "--in", &jsonl_path])).unwrap();
+            // The trace reader digests what the solve just wrote.
+            let report = run(&parse(&["trace-report", "--in", &jsonl_path])).unwrap();
             assert!(report.contains("solve.total"), "report misses spans:\n{report}");
         } else {
             assert!(out.contains("disabled at build time"), "missing note:\n{out}");
@@ -1392,7 +1205,8 @@ mod tests {
             "baseline",
             "epochs",
             "gen-faults",
-            "telemetry-report",
+            "serve",
+            "client",
             "trace-report",
         ] {
             assert!(out.contains(cmd), "help misses {cmd}");

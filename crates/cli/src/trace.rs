@@ -1,6 +1,7 @@
-//! Flight-recorder consumer: reconstructs the causal span forest from a
-//! telemetry JSONL file and renders it two ways — a Chrome-trace/Perfetto
-//! JSON timeline and an ASCII summary with top-k self-time hotspots and a
+//! The one reader of telemetry JSONL files: reconstructs the causal span
+//! forest and renders it two ways — a Chrome-trace/Perfetto JSON timeline
+//! and an ASCII summary with top-k self-time hotspots, the final counter
+//! and histogram values, a tally of every other record type and a
 //! critical-path analysis of every parallel dispatch.
 //!
 //! # Record schema
@@ -14,6 +15,9 @@
 //! worker, so per-worker `par.lane` spans nest under the `par.dispatch`
 //! span that spawned them. `{"t":"mem",…}` records from the background
 //! sampler carry the VmRSS/VmHWM and streamed-compile staging timeline.
+//! Each metrics flush writes one `counter`, `fcounter` or `hist` record
+//! per metric with its cumulative value, so the last record of a name
+//! wins.
 //!
 //! Reconstruction is tolerant by design: end-only records from
 //! pre-flight-recorder files become parentless legacy nodes, spans whose
@@ -30,7 +34,7 @@
 //! `(|L|·max − Σ) / (|L|·max)` — the fraction of worker-seconds spent
 //! waiting on the longest lane. Efficiency is the complement.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 
 use cloudalloc_metrics::Table;
@@ -92,6 +96,15 @@ pub struct TraceForest {
     pub legacy: usize,
     /// Memory timeline samples in record order.
     pub mem: Vec<MemSample>,
+    /// Last value of every `counter` and `fcounter`, by name, rendered
+    /// for the report (integers verbatim, floats to four places).
+    pub counters: BTreeMap<String, String>,
+    /// Last `hist` row of every histogram, by name: count, p50, p90, p99
+    /// and max.
+    pub hists: BTreeMap<String, [u64; 5]>,
+    /// How many records of every other type (`meta`, `progress`, domain
+    /// events, types a newer recorder added) the file holds, by type.
+    pub events: BTreeMap<String, u64>,
     /// Largest timestamp observed anywhere in the file, ns.
     pub max_ts_ns: u64,
 }
@@ -113,8 +126,9 @@ impl TraceForest {
     /// # Errors
     ///
     /// Fails (with a line number) on lines that are not JSON objects or
-    /// on span records missing their required fields. Unknown record
-    /// types are skipped — the recorder is free to grow new ones.
+    /// on span and metric records missing their required fields. Unknown
+    /// record types are tallied in [`TraceForest::events`] — the recorder
+    /// is free to grow new ones.
     pub fn from_jsonl(text: &str) -> Result<TraceForest, SerdeError> {
         let mut forest = TraceForest::default();
         // id → index into nodes, for joining starts with ends.
@@ -133,12 +147,12 @@ impl TraceForest {
             let ty = v.field("t").and_then(Value::as_str).map_err(located)?;
             let ts = req_u64(&v, "ts").map_err(located)?;
             forest.max_ts_ns = forest.max_ts_ns.max(ts);
+            let name = || v.field("name").and_then(Value::as_str).map(str::to_string);
             match ty {
                 "span_start" => {
                     let id = req_u64(&v, "id").map_err(located)?;
                     let parent = req_u64(&v, "parent").map_err(located)?;
-                    let name =
-                        v.field("name").and_then(Value::as_str).map_err(located)?.to_string();
+                    let name = name().map_err(located)?;
                     let tid = opt_u64(&v, "tid").map_err(located)?.unwrap_or(0);
                     let node =
                         SpanNode { id, parent, name, tid, start_ns: ts, dur_ns: 0, unclosed: true };
@@ -148,8 +162,7 @@ impl TraceForest {
                     open.push(slot);
                 }
                 "span" => {
-                    let name =
-                        v.field("name").and_then(Value::as_str).map_err(located)?.to_string();
+                    let name = name().map_err(located)?;
                     let ns = req_u64(&v, "ns").map_err(located)?;
                     match opt_u64(&v, "id").map_err(located)? {
                         Some(id) if id != 0 => {
@@ -203,9 +216,22 @@ impl TraceForest {
                             .unwrap_or(0),
                     });
                 }
-                // Anything else (meta, counters, events…) is not part of
-                // the span forest.
-                _ => {}
+                "counter" => {
+                    let value = req_u64(&v, "value").map_err(located)?;
+                    forest.counters.insert(name().map_err(located)?, value.to_string());
+                }
+                "fcounter" => {
+                    let value = v.field("value").and_then(f64::from_value).map_err(located)?;
+                    forest.counters.insert(name().map_err(located)?, format!("{value:.4}"));
+                }
+                "hist" => {
+                    let mut row = [0u64; 5];
+                    for (slot, field) in row.iter_mut().zip(["count", "p50", "p90", "p99", "max"]) {
+                        *slot = req_u64(&v, field).map_err(located)?;
+                    }
+                    forest.hists.insert(name().map_err(located)?, row);
+                }
+                other => *forest.events.entry(other.to_string()).or_default() += 1,
             }
         }
 
@@ -327,8 +353,8 @@ impl TraceForest {
     }
 
     /// Renders the ASCII report: forest stats, top-`top_k` self-time
-    /// hotspots, the per-site critical-path table and the memory
-    /// timeline summary.
+    /// hotspots, the counter, histogram and record-type tables, the
+    /// per-site critical-path table and the memory timeline summary.
     pub fn ascii_summary(&self, top_k: usize) -> String {
         let mut out = String::new();
         let lanes: std::collections::BTreeSet<u64> = self.nodes.iter().map(|n| n.tid).collect();
@@ -381,6 +407,35 @@ impl TraceForest {
                 ]);
             }
             out.push_str(&format!("\ntop self-time hotspots (of {} span names)\n", by_name.len()));
+            out.push_str(&table.to_string());
+        }
+
+        if !self.counters.is_empty() {
+            let mut table = Table::new(vec!["counter".into(), "value".into()]);
+            for (name, value) in &self.counters {
+                table.row(vec![name.clone(), value.clone()]);
+            }
+            out.push_str("\ncounters\n");
+            out.push_str(&table.to_string());
+        }
+        if !self.hists.is_empty() {
+            let mut table = Table::new(
+                ["histogram", "count", "p50", "p90", "p99", "max"].map(String::from).to_vec(),
+            );
+            for (name, row) in &self.hists {
+                let mut cells = vec![name.clone()];
+                cells.extend(row.iter().map(u64::to_string));
+                table.row(cells);
+            }
+            out.push_str("\nhistograms\n");
+            out.push_str(&table.to_string());
+        }
+        if !self.events.is_empty() {
+            let mut table = Table::new(vec!["record".into(), "count".into()]);
+            for (ty, count) in &self.events {
+                table.row(vec![ty.clone(), count.to_string()]);
+            }
+            out.push_str("\nother records\n");
             out.push_str(&table.to_string());
         }
 

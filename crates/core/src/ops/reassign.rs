@@ -102,7 +102,14 @@ pub fn reassign_clients(
         });
         block_proposals.into_iter().flatten().collect()
     } else {
-        order.iter().map(|&client| propose(ctx, scored, client)).collect()
+        // The same blocks and spans as the fan-out, so a trace's causal
+        // shape does not depend on the thread count.
+        let mut proposals = Vec::with_capacity(order.len());
+        for block in order.chunks(PROPOSAL_BLOCK) {
+            let _span = telemetry::span!("op.reassign.block");
+            proposals.extend(block.iter().map(|&client| propose(ctx, scored, client)));
+        }
+        proposals
     };
 
     let mut changed = false;

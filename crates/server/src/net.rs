@@ -151,6 +151,11 @@ fn accept_loop(listener: TcpListener, accept: Option<usize>, tx: mpsc::Sender<In
         };
         let id = next_id;
         next_id += 1;
+        // A reply and its op-log deltas leave as separate small writes;
+        // with Nagle's algorithm on, the second one waits for the
+        // peer's delayed ACK and a lockstep subscriber stalls on every
+        // mutation.
+        let _ = stream.set_nodelay(true);
         let reader = match stream.try_clone() {
             Ok(r) => r,
             Err(_) => continue,

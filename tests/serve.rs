@@ -381,3 +381,29 @@ fn op_log_deltas_reconstruct_the_admitted_set() {
     mirror.sort_unstable();
     assert_eq!(mirror, served, "folded op log disagrees with the server's membership");
 }
+
+/// Regression: a reply and the op-log deltas it triggers go out as
+/// separate small writes on one connection. Without `TCP_NODELAY` the
+/// second write waits for the peer's delayed ACK, so a subscribed
+/// lockstep client stalled for tens of milliseconds on every accepted
+/// mutation.
+#[test]
+fn subscribed_lockstep_session_does_not_stall() {
+    const ADMITS: usize = 100;
+    let (addr, handle) = spawn_server(ADMITS, 1, 1);
+    let mut session = Session::connect(addr);
+    assert!(matches!(
+        session.request(&ClientMessage::Subscribe { req: 0 }),
+        ServerMessage::Subscribed { .. }
+    ));
+    let begin = std::time::Instant::now();
+    for i in 0..ADMITS {
+        session.request(&ClientMessage::Admit { req: 1 + i as u64, client: ClientId(i) });
+    }
+    let mean_ms = begin.elapsed().as_secs_f64() * 1e3 / ADMITS as f64;
+    let transcript = session.bye(1 + ADMITS as u64);
+    handle.join().expect("server thread");
+    let deltas = transcript.lines().filter(|l| l.contains("\"Delta\"")).count();
+    assert!(deltas >= ADMITS / 4, "too few accepted admits to exercise the stall: {deltas}");
+    assert!(mean_ms < 5.0, "subscribed lockstep requests take {mean_ms:.2} ms on average");
+}
