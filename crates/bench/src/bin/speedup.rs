@@ -1043,23 +1043,6 @@ fn bench_candidate_search(base_seed: u64, smoke: bool) -> Vec<CandidateSearchRec
     records
 }
 
-/// Rebuilds an allocation against another (here: masked) system so its
-/// cached per-server aggregates start from that system's background
-/// loads — the precondition for lowering it into a scored view.
-fn rebuild_on(system: &cloudalloc_model::CloudSystem, alloc: &Allocation) -> Allocation {
-    let mut fresh = Allocation::new(system);
-    for i in 0..system.num_clients() {
-        let client = ClientId(i);
-        if let Some(cluster) = alloc.cluster_of(client) {
-            fresh.assign_cluster(client, cluster);
-            for &(server, placement) in alloc.placements(client) {
-                fresh.place(system, client, server, placement);
-            }
-        }
-    }
-    fresh
-}
-
 fn bench_repair_latency(base_seed: u64, smoke: bool) -> Vec<RepairLatencyRecord> {
     use cloudalloc_core::ops;
     let mut table = Table::new(vec![
@@ -1095,7 +1078,7 @@ fn bench_repair_latency(base_seed: u64, smoke: bool) -> Vec<RepairLatencyRecord>
         let failed: Vec<ServerId> = active[..(active.len() / 5).max(1)].to_vec();
         let masked = system.with_failed_servers(&failed);
         let ctx = SolverCtx::new(&masked, &solver);
-        let stale = rebuild_on(&masked, &alloc);
+        let stale = alloc.replayed_onto(&masked);
 
         // The baseline the repair must beat: drop every victim outright.
         let mut naive = stale.clone();

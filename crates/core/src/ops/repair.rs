@@ -352,23 +352,6 @@ mod tests {
         scored
     }
 
-    /// Replays assignments and placements against a re-parameterized
-    /// system, recomputing the derived per-server aggregates (masking
-    /// changes the background loads the aggregates start from).
-    fn rebuild(system: &CloudSystem, alloc: &Allocation) -> Allocation {
-        let mut fresh = Allocation::new(system);
-        for i in 0..system.num_clients() {
-            let client = ClientId(i);
-            if let Some(cluster) = alloc.cluster_of(client) {
-                fresh.assign_cluster(client, cluster);
-                for &(server, placement) in alloc.placements(client) {
-                    fresh.place(system, client, server, placement);
-                }
-            }
-        }
-        fresh
-    }
-
     /// Replays `alloc` onto `masked`, then drops every client that held a
     /// placement on a failed server — the naive baseline repair must beat.
     fn naive_drop(masked: &CloudSystem, alloc: &Allocation, failed: &[ServerId]) -> Allocation {
@@ -376,7 +359,7 @@ mod tests {
         for &s in failed {
             dead[s.index()] = true;
         }
-        let mut naive = rebuild(masked, alloc);
+        let mut naive = alloc.replayed_onto(masked);
         for i in 0..masked.num_clients() {
             let client = ClientId(i);
             if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
@@ -411,7 +394,7 @@ mod tests {
 
             let masked_ctx = SolverCtx::new(&masked, &config);
             let mut scored =
-                ScoredAllocation::lowered(&masked_ctx.compiled, rebuild(&masked, &alloc));
+                ScoredAllocation::lowered(&masked_ctx.compiled, alloc.replayed_onto(&masked));
             let stale_profit = scored.profit();
             let stats = repair_failed_servers(&masked_ctx, &mut scored, &failed);
             assert!(stats.victims > 0, "seed {seed}: failures must strand someone");
@@ -460,7 +443,8 @@ mod tests {
         let masked_ctx = SolverCtx::new(&masked, &config);
 
         let k = masked.server(failed[0]).cluster;
-        let mut scored = ScoredAllocation::lowered(&masked_ctx.compiled, rebuild(&masked, &alloc));
+        let mut scored =
+            ScoredAllocation::lowered(&masked_ctx.compiled, alloc.replayed_onto(&masked));
         repair_failed_servers_within(&masked_ctx, &mut scored, &failed, k);
         let repaired = scored.into_allocation();
         for i in 0..masked.num_clients() {
@@ -506,7 +490,7 @@ mod tests {
 
         let run = || {
             let mut scored =
-                ScoredAllocation::lowered(&masked_ctx.compiled, rebuild(&masked, &alloc));
+                ScoredAllocation::lowered(&masked_ctx.compiled, alloc.replayed_onto(&masked));
             let stats = repair_failed_servers(&masked_ctx, &mut scored, &failed);
             (stats, scored.into_allocation())
         };

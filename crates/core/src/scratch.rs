@@ -265,6 +265,8 @@ mod tests {
     #[test]
     fn nested_acquisitions_hand_out_distinct_arenas() {
         let mut outer = acquire();
+        // Pooled arenas may hold another test's data; callers clear.
+        outer.servers.clear();
         outer.servers.push(ServerId(7));
         {
             let inner = acquire();

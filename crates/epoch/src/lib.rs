@@ -20,7 +20,8 @@
 //!   injected fault events
 //!   ([`FaultPlan`](cloudalloc_workload::FaultPlan)) it additionally
 //!   runs the repair → shed → escalate state machine ([`RepairPolicy`])
-//!   to rescue clients stranded on failed servers.
+//!   to rescue clients stranded on failed servers; [`repair_failures`]
+//!   is that state machine, shared with the admission server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +33,6 @@ mod predictor;
 
 pub use drift::{DriftConfig, WorkloadDrift};
 pub use log::{OperationsLog, OperationsSummary};
+pub use manager::repair_failures;
 pub use manager::{EpochConfig, EpochManager, EpochReport, RepairPolicy, RepairReport};
 pub use predictor::{EwmaPredictor, LastValue, RatePredictor};

@@ -169,7 +169,7 @@ impl<P: RatePredictor> EpochManager<P> {
     /// Seed of the `retry`-th escalation re-solve of the *current* epoch.
     /// Public so tests can reproduce escalation results bit-for-bit.
     pub fn escalation_seed(&self, retry: u64) -> u64 {
-        (self.seed ^ 0xFA17_5EED).wrapping_add(retry.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        escalation_seed(self.seed, retry)
     }
 
     /// Closes the current epoch with the rates that actually occurred and
@@ -307,21 +307,8 @@ impl<P: RatePredictor> EpochManager<P> {
         EpochReport { resolved_fully, ..report }
     }
 
-    /// The repair → shed → escalate state machine, run mid-epoch against
-    /// the masked system:
-    ///
-    /// 1. **Repair**: evict victims from dead servers via the journaled
-    ///    incremental evaluator and rescue each with the most profitable
-    ///    of re-disperse / re-place / shed, then shed any remaining
-    ///    clients whose presence costs more than they earn. The result is
-    ///    floored at the naive drop-every-victim baseline (which itself
-    ///    dominates doing nothing — stranded clients earn zero revenue
-    ///    but still hold costly shares), so repaired profit is monotone
-    ///    versus both.
-    /// 2. **Escalate**: when the repaired profit falls below
-    ///    `degradation_threshold ×` the pre-fault expected profit, run
-    ///    bounded full re-solves with derived seeds, keeping the best
-    ///    allocation and stopping as soon as the threshold is recovered.
+    /// Runs [`repair_failures`] mid-epoch, measuring degradation against
+    /// the pre-fault expected profit.
     fn repair(&mut self, failed: &[ServerId]) -> RepairReport {
         let _span = telemetry::span!("epoch.repair");
         telemetry::counter!("epoch.repairs").incr();
@@ -330,78 +317,15 @@ impl<P: RatePredictor> EpochManager<P> {
         let pre_fault = self.base.with_predicted_rates(&self.predicted);
         let reference = evaluate(&pre_fault, &self.allocation).profit;
         let masked = pre_fault.with_failed_servers(failed);
-
-        // Doing nothing: the stale allocation scored on the failed system.
-        let stale = self.allocation.replayed_onto(&masked);
-        let stale_profit = evaluate(&masked, &stale).profit;
-
-        // Naive baseline: drop every client that touches a dead server.
-        let mut dead = vec![false; masked.num_servers()];
-        for &s in failed {
-            dead[s.index()] = true;
-        }
-        let mut naive = stale.clone();
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                naive.clear_client(&masked, client);
-            }
-        }
-        let naive_profit = evaluate(&masked, &naive).profit;
-
-        // Incremental repair plus the admission-control sweep.
         let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored = ScoredAllocation::lowered(&ctx.compiled, stale);
-        let stats = ops::repair_failed_servers(&ctx, &mut scored, failed);
-        let shed_low_utility = ops::shed_unprofitable(&ctx, &mut scored);
-        let mut repaired_profit = scored.profit();
-        let mut repaired = scored.into_allocation();
-        let mut used_naive_fallback = false;
-        if repaired_profit < naive_profit {
-            repaired = naive;
-            repaired_profit = naive_profit;
-            used_naive_fallback = true;
-        }
-
-        let mut escalated = false;
-        let mut resolve_retries = 0;
-        let floor = self.config.repair.degradation_threshold * reference;
-        if reference > 0.0 && repaired_profit < floor {
-            escalated = true;
-            telemetry::counter!("epoch.repair.escalations").incr();
-            let _span = telemetry::span!("epoch.repair.escalate");
-            for retry in 0..=self.config.repair.max_resolve_retries {
-                resolve_retries = retry;
-                let result =
-                    solve(&masked, &self.config.solver, self.escalation_seed(retry as u64));
-                let profit = evaluate(&masked, &result.allocation).profit;
-                if profit > repaired_profit {
-                    repaired_profit = profit;
-                    repaired = result.allocation;
-                    used_naive_fallback = false;
-                }
-                if repaired_profit >= floor {
-                    break;
-                }
-            }
-        }
+        let stale = self.allocation.replayed_onto(&masked);
+        let (repaired, report) =
+            repair_failures(&ctx, stale, failed, reference, self.config.repair, self.seed, || {
+                telemetry::counter!("epoch.repair.escalations").incr();
+                telemetry::span!("epoch.repair.escalate")
+            });
         self.allocation = repaired;
 
-        let report = RepairReport {
-            failed_servers: failed.len(),
-            victims: stats.victims,
-            evicted: stats.evicted,
-            redispersed: stats.redispersed,
-            replaced: stats.replaced,
-            shed: stats.shed,
-            shed_low_utility,
-            stale_profit,
-            naive_profit,
-            repaired_profit,
-            used_naive_fallback,
-            escalated,
-            resolve_retries,
-        };
         telemetry::Event::new("epoch.repair")
             .field_u64("epoch", self.epoch as u64)
             .field_u64("failed_servers", report.failed_servers as u64)
@@ -414,6 +338,101 @@ impl<P: RatePredictor> EpochManager<P> {
             .emit();
         report
     }
+}
+
+fn escalation_seed(seed: u64, retry: u64) -> u64 {
+    (seed ^ 0xFA17_5EED).wrapping_add(retry.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The repair → shed → escalate state machine of the epoch manager and the
+/// admission server, run on `stale` — the standing allocation replayed
+/// onto `ctx.system`, where the `failed` servers are masked:
+///
+/// 1. **Repair**: evict victims from dead servers via the journaled
+///    incremental evaluator and rescue each with the most profitable of
+///    re-disperse / re-place / shed, then shed any remaining clients
+///    whose presence costs more than they earn. The result is floored at
+///    the naive drop-every-victim baseline (which itself dominates doing
+///    nothing), so repaired profit is monotone versus both.
+/// 2. **Escalate**: below `degradation_threshold × reference`, run bounded
+///    full re-solves with seeds derived from `seed`, keeping the best and
+///    stopping once the threshold is recovered. `escalating` runs first
+///    and its result lives until the end, so each caller counts and spans
+///    escalations under its own names.
+///
+/// Every profit is the batch [`evaluate`] score.
+pub fn repair_failures<G>(
+    ctx: &SolverCtx<'_>,
+    stale: Allocation,
+    failed: &[ServerId],
+    reference: f64,
+    policy: RepairPolicy,
+    seed: u64,
+    escalating: impl FnOnce() -> G,
+) -> (Allocation, RepairReport) {
+    let masked = ctx.system;
+    // Doing nothing: the stale allocation scored on the failed system.
+    let stale_profit = evaluate(masked, &stale).profit;
+
+    // Naive baseline: drop every client that touches a dead server.
+    let mut naive = stale.clone();
+    for i in 0..masked.num_clients() {
+        let client = ClientId(i);
+        if naive.placements(client).iter().any(|(s, _)| failed.contains(s)) {
+            naive.clear_client(masked, client);
+        }
+    }
+    let naive_profit = evaluate(masked, &naive).profit;
+
+    // Incremental repair plus the admission-control sweep.
+    let mut scored = ScoredAllocation::lowered(&ctx.compiled, stale);
+    let stats = ops::repair_failed_servers(ctx, &mut scored, failed);
+    let shed_low_utility = ops::shed_unprofitable(ctx, &mut scored);
+    let mut repaired = scored.into_allocation();
+    let mut repaired_profit = evaluate(masked, &repaired).profit;
+    let mut used_naive_fallback = false;
+    if repaired_profit < naive_profit {
+        repaired = naive;
+        repaired_profit = naive_profit;
+        used_naive_fallback = true;
+    }
+
+    let mut resolve_retries = 0;
+    let floor = policy.degradation_threshold * reference;
+    let escalated = reference > 0.0 && repaired_profit < floor;
+    if escalated {
+        let _escalating = escalating();
+        for retry in 0..=policy.max_resolve_retries {
+            resolve_retries = retry;
+            let result = solve(masked, ctx.config, escalation_seed(seed, retry as u64));
+            let profit = evaluate(masked, &result.allocation).profit;
+            if profit > repaired_profit {
+                repaired_profit = profit;
+                repaired = result.allocation;
+                used_naive_fallback = false;
+            }
+            if repaired_profit >= floor {
+                break;
+            }
+        }
+    }
+
+    let report = RepairReport {
+        failed_servers: failed.len(),
+        victims: stats.victims,
+        evicted: stats.evicted,
+        redispersed: stats.redispersed,
+        replaced: stats.replaced,
+        shed: stats.shed,
+        shed_low_utility,
+        stale_profit,
+        naive_profit,
+        repaired_profit,
+        used_naive_fallback,
+        escalated,
+        resolve_retries,
+    };
+    (repaired, report)
 }
 
 #[cfg(test)]

@@ -136,18 +136,8 @@ impl Allocation {
     /// Creates an empty allocation (no client assigned anywhere) sized for
     /// `system`, with server loads seeded from the background load.
     pub fn new(system: &CloudSystem) -> Self {
-        let loads = (0..system.num_servers())
-            .map(|j| {
-                let bg = system.background(ServerId(j));
-                ServerLoad {
-                    phi_p: bg.phi_p,
-                    phi_c: bg.phi_c,
-                    storage: bg.storage,
-                    work_processing: 0.0,
-                    placements: 0,
-                }
-            })
-            .collect();
+        let loads =
+            (0..system.num_servers()).map(|j| Self::folded_load(system, ServerId(j), [])).collect();
         let mut this = Self {
             cluster_of: vec![None; system.num_clients()],
             placements: vec![Vec::new(); system.num_clients()],
@@ -167,25 +157,84 @@ impl Allocation {
     /// clients' predicted rates) are recomputed from scratch. This is how
     /// an allocation survives a rate change, a fault mask, or any other
     /// [`CloudSystem`] re-parameterization that keeps entity ids stable.
+    /// Panics like [`Allocation::replayed_without`] with nobody gone.
+    pub fn replayed_onto(&self, system: &CloudSystem) -> Allocation {
+        self.replayed_without(system, &[])
+    }
+
+    /// The renumbering replay: the clients in `gone` are dropped and the
+    /// survivors renumbered densely in order, as
+    /// [`CloudSystem::retain_clients`] does.
     ///
     /// # Panics
     ///
-    /// Panics if a carried placement references a client or server that
-    /// `system` does not contain.
-    pub fn replayed_onto(&self, system: &CloudSystem) -> Allocation {
+    /// Panics if `system` does not hold exactly the survivors (`gone`
+    /// lists distinct clients), or a carried placement references a
+    /// server it does not contain.
+    pub fn replayed_without(&self, system: &CloudSystem, gone: &[ClientId]) -> Allocation {
+        let survivors = (0..self.cluster_of.len()).map(ClientId).filter(|c| !gone.contains(c));
+        let kept = self.cluster_of.len() - gone.len();
+        assert_eq!(kept, system.num_clients(), "replay target must hold the survivors");
         let mut fresh = Allocation::new(system);
-        // `system` may hold *more* clients than this allocation (a grown
-        // population); the extras start unassigned.
-        for i in 0..self.cluster_of.len().min(system.num_clients()) {
-            let client = ClientId(i);
-            if let Some(cluster) = self.cluster_of(client) {
+        for (to, from) in survivors.enumerate() {
+            let client = ClientId(to);
+            if let Some(cluster) = self.cluster_of(from) {
                 fresh.assign_cluster(client, cluster);
-                for &(server, placement) in self.placements(client) {
+                for &(server, placement) in self.placements(from) {
                     fresh.place(system, client, server, placement);
                 }
             }
         }
         fresh
+    }
+
+    /// Appends an empty, unassigned client slot — how an allocation
+    /// follows [`CloudSystem::add_client`]; a replayed allocation stays
+    /// exactly a replay onto the grown system.
+    pub fn push_client(&mut self) {
+        self.cluster_of.push(None);
+        self.placements.push(Vec::new());
+    }
+
+    /// Re-derives the loads of the servers `client` is placed on after its
+    /// rates changed in `system` ([`CloudSystem::set_client_rates`]), with
+    /// the same fold a replay runs, so a replayed allocation stays
+    /// bit-identical to a replay onto the re-rated system.
+    pub fn reprice_client(&mut self, system: &CloudSystem, client: ClientId) {
+        for k in 0..self.placements[client.index()].len() {
+            let server = self.placements[client.index()][k].0;
+            let placed = self.residents[server.index()]
+                .iter()
+                .map(|&r| (r, self.placement(r, server).expect("residents hold a placement")));
+            self.loads[server.index()] = Self::folded_load(system, server, placed);
+            self.bump_slack(server.index());
+        }
+    }
+
+    /// The load a replay folds onto `server`: its background, then each
+    /// resident's placement there in the given (client-id) order.
+    fn folded_load(
+        system: &CloudSystem,
+        server: ServerId,
+        residents: impl IntoIterator<Item = (ClientId, Placement)>,
+    ) -> ServerLoad {
+        let bg = system.background(server);
+        let mut load = ServerLoad {
+            phi_p: bg.phi_p,
+            phi_c: bg.phi_c,
+            storage: bg.storage,
+            work_processing: 0.0,
+            placements: 0,
+        };
+        for (r, p) in residents {
+            let c = system.client(r);
+            load.phi_p += p.phi_p;
+            load.phi_c += p.phi_c;
+            load.storage += c.storage;
+            load.work_processing += p.alpha * c.rate_predicted * c.exec_processing;
+            load.placements += 1;
+        }
+        load
     }
 
     /// (Re)builds the per-cluster slack index from `system`. Needed only
@@ -461,27 +510,11 @@ impl Allocation {
     pub fn assert_consistent(&self, system: &CloudSystem) {
         for j in 0..system.num_servers() {
             let sid = ServerId(j);
-            let bg = system.background(sid);
-            let mut expect = ServerLoad {
-                phi_p: bg.phi_p,
-                phi_c: bg.phi_c,
-                storage: bg.storage,
-                work_processing: 0.0,
-                placements: 0,
-            };
-            let mut residents = Vec::new();
-            for (i, list) in self.placements.iter().enumerate() {
-                if let Ok(pos) = list.binary_search_by_key(&sid, |&(s, _)| s) {
-                    let p = list[pos].1;
-                    let c = system.client(ClientId(i));
-                    expect.phi_p += p.phi_p;
-                    expect.phi_c += p.phi_c;
-                    expect.storage += c.storage;
-                    expect.work_processing += p.alpha * c.rate_predicted * c.exec_processing;
-                    expect.placements += 1;
-                    residents.push(ClientId(i));
-                }
-            }
+            let placed: Vec<(ClientId, Placement)> = (0..self.placements.len())
+                .filter_map(|i| Some((ClientId(i), self.placement(ClientId(i), sid)?)))
+                .collect();
+            let residents: Vec<ClientId> = placed.iter().map(|&(c, _)| c).collect();
+            let expect = Self::folded_load(system, sid, placed);
             let got = self.loads[j];
             assert!(
                 (got.phi_p - expect.phi_p).abs() < 1e-9
@@ -780,5 +813,49 @@ mod tests {
         assert!((load.free_phi_p() - 0.7).abs() < 1e-12);
         assert!((load.storage - 1.5).abs() < 1e-12);
         assert!(!load.is_on(), "background-only servers are not charged to us");
+    }
+
+    #[test]
+    fn in_place_population_edits_keep_a_replayed_allocation_canonical() {
+        let (mut sys, alloc) = placed();
+        let mut alloc = alloc.replayed_onto(&sys);
+        alloc.assign_cluster(ClientId(1), ClusterId(0));
+        alloc.place(
+            &sys,
+            ClientId(1),
+            ServerId(0),
+            Placement { alpha: 1.0, phi_p: 0.2, phi_c: 0.1 },
+        );
+        let mut alloc = alloc.replayed_onto(&sys);
+
+        // Growing by an empty slot.
+        sys.add_client(Client::new(ClientId(2), UtilityClassId(0), 1.0, 1.0, 0.5, 0.4, 1.0));
+        alloc.push_client();
+        assert_eq!(alloc, alloc.replayed_onto(&sys));
+
+        // Re-rating a placed client: `==` compares the loads exactly.
+        sys.set_client_rates(ClientId(0), 3.0, 3.5);
+        alloc.reprice_client(&sys, ClientId(0));
+        assert_eq!(alloc, alloc.replayed_onto(&sys));
+        assert!(
+            (alloc.load(ServerId(0)).work_processing - (0.6 * 3.5 + 1.0 * 2.0) * 0.5).abs() < 1e-12
+        );
+
+        // Removing a client renumbers the survivors in order.
+        let survivor = alloc.placements(ClientId(1)).to_vec();
+        sys.retain_clients(|c| c.id != ClientId(0));
+        let shrunk = alloc.replayed_without(&sys, &[ClientId(0)]);
+        assert_eq!(shrunk.placements(ClientId(0)), survivor.as_slice());
+        assert!(shrunk.placements(ClientId(1)).is_empty());
+        assert!(!shrunk.is_on(ServerId(1)));
+        shrunk.assert_consistent(&sys);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay target must hold the survivors")]
+    fn replay_onto_a_different_population_panics() {
+        let (mut sys, alloc) = placed();
+        sys.add_client(Client::new(ClientId(2), UtilityClassId(0), 1.0, 1.0, 0.5, 0.4, 1.0));
+        let _ = alloc.replayed_onto(&sys);
     }
 }

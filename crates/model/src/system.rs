@@ -487,22 +487,29 @@ impl CloudSystem {
         next
     }
 
-    /// A copy of the system with the client population *replaced* — the
-    /// admission server's population seam. The hardware catalog, cluster
-    /// topology and background load carry over verbatim while the set of
-    /// clients under contract changes between requests; each client is
-    /// re-admitted through [`CloudSystem::try_add_client`], so id-equals-
-    /// position and utility-class references are re-checked and any
-    /// mismatch surfaces as a typed error instead of a panic.
-    pub fn try_with_clients(&self, clients: Vec<Client>) -> Result<CloudSystem, ModelError> {
-        let mut next = self.clone();
-        next.clients.clear();
-        next.clients.reserve_exact(clients.len());
-        for client in clients {
-            client.validate()?;
-            next.try_add_client(client)?;
+    /// Sets client `id`'s agreed and predicted arrival rates in place — a
+    /// renegotiated contract or a rate spike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or a rate is not positive and
+    /// finite.
+    pub fn set_client_rates(&mut self, id: ClientId, rate_agreed: f64, rate_predicted: f64) {
+        let valid = |r: f64| r.is_finite() && r > 0.0;
+        assert!(valid(rate_agreed) && valid(rate_predicted), "rates must be positive and finite");
+        let client = &mut self.clients[id.index()];
+        client.rate_agreed = rate_agreed;
+        client.rate_predicted = rate_predicted;
+    }
+
+    /// Keeps only the clients `keep` accepts, in place; the survivors keep
+    /// their order and are renumbered densely (ids stay equal to
+    /// positions).
+    pub fn retain_clients(&mut self, keep: impl FnMut(&Client) -> bool) {
+        self.clients.retain(keep);
+        for (pos, client) in self.clients.iter_mut().enumerate() {
+            client.id = ClientId(pos);
         }
-        Ok(next)
     }
 
     /// A copy of the system where each listed server is *dead*: its class
@@ -764,5 +771,27 @@ mod tests {
     fn failed_server_masking_with_empty_list_is_a_plain_clone() {
         let sys = two_cluster_system();
         assert_eq!(sys.with_failed_servers(&[]), sys);
+    }
+
+    #[test]
+    fn client_edits_in_place_keep_ids_dense() {
+        let mut sys = two_cluster_system();
+        for i in 1..4 {
+            sys.add_client(Client::new(
+                ClientId(i),
+                UtilityClassId(0),
+                i as f64,
+                1.0,
+                0.5,
+                0.5,
+                1.0,
+            ));
+        }
+        sys.set_client_rates(ClientId(2), 7.0, 8.0);
+        sys.retain_clients(|c| c.id != ClientId(0) && c.id != ClientId(3));
+        sys.validate().expect("renumbered clients stay consistent");
+        let rates: Vec<(f64, f64)> =
+            sys.clients().iter().map(|c| (c.rate_agreed, c.rate_predicted)).collect();
+        assert_eq!(rates, vec![(1.0, 1.0), (7.0, 8.0)]);
     }
 }

@@ -5,11 +5,19 @@
 //!
 //! The engine is started with a *universe*: a scenario file naming every
 //! client that could ever ask for service. The *served population* is the
-//! subset that asked and was admitted; it is materialized as a dense
-//! [`CloudSystem`] (client ids renumbered `0..members.len()` via
-//! [`CloudSystem::try_with_clients`]) so the whole solver stack — compiled
-//! lowering, incremental scorer, operators — runs on it unchanged. The
-//! protocol always speaks universe ids; the engine translates.
+//! subset that asked and was admitted, held as a dense [`CloudSystem`]
+//! (client ids `0..members.len()` in admission order, current rates, dead
+//! servers masked) so the whole solver stack — compiled lowering,
+//! incremental scorer, operators — runs on it unchanged. The protocol
+//! always speaks universe ids; the engine translates.
+//!
+//! Population and allocation are changed in place: an admit appends, a
+//! renegotiation or rate spike edits one client's rates, a departure or
+//! shed removes; only a server flip rebuilds the population from the
+//! universe. Every mutation ends with one replay, so the standing
+//! allocation is *canonical* — bit for bit its own
+//! [`Allocation::replayed_onto`] the population — and a request starts
+//! from it as it is.
 //!
 //! # Decision rule
 //!
@@ -19,9 +27,9 @@
 //! positive — the same admission economics [`ops::shed_unprofitable`]
 //! enforces in reverse. The profit *reported* to clients, however, is
 //! always the canonical batch score ([`evaluate`]) of the served
-//! population, so an external audit that re-scores the same population
-//! matches the server's numbers exactly, not merely within the
-//! incremental scorer's drift tolerance.
+//! population and its canonical allocation, so an external audit that
+//! re-scores the same population matches the server's numbers exactly,
+//! not merely within the incremental scorer's drift tolerance.
 //!
 //! # Determinism
 //!
@@ -30,9 +38,11 @@
 //! seam; every randomized choice inside a fold or escalation derives its
 //! seed from the configured base seed and the epoch counter.
 
-use cloudalloc_core::{best_cluster, commit_scored, ops, solve, SolverConfig, SolverCtx};
-use cloudalloc_epoch::RepairPolicy;
-use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ScoredAllocation, ServerId};
+use cloudalloc_core::{best_cluster, commit_scored, ops, SolverConfig, SolverCtx};
+use cloudalloc_epoch::{repair_failures, RepairPolicy};
+use cloudalloc_model::{
+    evaluate, Allocation, ClientId, CloudSystem, ClusterId, ScoredAllocation, ServerId,
+};
 use cloudalloc_protocol::{
     ClientMessage, LogPosition, ModelOp, RejectReason, ServerMessage, WirePlacement,
     PROTOCOL_VERSION,
@@ -117,12 +127,11 @@ pub struct Engine {
     members: Vec<ClientId>,
     /// Universe id → dense id of served clients.
     dense_of: Vec<Option<usize>>,
-    /// The served population as a dense system (unmasked; fault masking
-    /// is applied on demand).
-    population: CloudSystem,
-    /// Decision state over `population` (dense ids). Derived aggregates
-    /// are rebuilt via [`Allocation::replayed_onto`] wherever a freshly
-    /// parameterized system is needed.
+    /// The served population as a dense system, with current rates and
+    /// dead servers masked.
+    system: CloudSystem,
+    /// Decision state over `system` (dense ids), always canonical: equal
+    /// to `alloc.replayed_onto(&system)`.
     alloc: Allocation,
     /// Per-server down flags maintained from fault events.
     down: Vec<bool>,
@@ -143,9 +152,9 @@ impl Engine {
     /// Creates an engine serving `universe` with an empty population.
     pub fn new(universe: CloudSystem, config: EngineConfig) -> Self {
         let rates = universe.clients().iter().map(|c| (c.rate_agreed, c.rate_predicted)).collect();
-        let population =
-            universe.try_with_clients(Vec::new()).expect("empty population is always valid");
-        let alloc = Allocation::new(&population);
+        let mut system = universe.clone();
+        system.retain_clients(|_| false);
+        let alloc = Allocation::new(&system);
         let down = vec![false; universe.num_servers()];
         let dense_of = vec![None; universe.num_clients()];
         Self {
@@ -153,7 +162,7 @@ impl Engine {
             rates,
             members: Vec::new(),
             dense_of,
-            population,
+            system,
             alloc,
             down,
             plan: None,
@@ -208,14 +217,14 @@ impl Engine {
 
     /// The served population as a dense system, with fault masking
     /// applied — exactly what the engine scores against.
-    pub fn masked_population(&self) -> CloudSystem {
-        self.population.with_failed_servers(&self.failed())
+    pub fn masked_population(&self) -> &CloudSystem {
+        &self.system
     }
 
-    /// The engine's decision state over the dense population, with
-    /// aggregates rebuilt against [`Engine::masked_population`].
-    pub fn allocation(&self) -> Allocation {
-        self.alloc.replayed_onto(&self.masked_population())
+    /// The engine's decision state over [`Engine::masked_population`],
+    /// canonical: it equals its own replay onto that population.
+    pub fn allocation(&self) -> &Allocation {
+        &self.alloc
     }
 
     /// The first message of every connection.
@@ -275,34 +284,25 @@ impl Engine {
             return self.reject(req, u, RejectReason::AlreadyAdmitted, t0, clock);
         }
 
-        // Grow the population by the applicant and ask the incremental
+        // Append the applicant to the population and ask the incremental
         // scorer for its best marginal placement.
         let dense = ClientId(self.members.len());
-        let mut next_members = self.members.clone();
-        next_members.push(u);
-        let grown = self.build_population(&next_members);
-        let masked = grown.with_failed_servers(&self.failed());
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
-        let candidate = best_cluster(&ctx, scored.alloc(), dense);
-
-        let Some(candidate) = candidate.filter(|c| c.score > 0.0) else {
+        let mut applicant = self.universe.client(u).clone();
+        applicant.id = dense;
+        (applicant.rate_agreed, applicant.rate_predicted) = self.rates[u.index()];
+        self.system.add_client(applicant);
+        let mut working = self.alloc.clone();
+        working.push_client();
+        let Some((cluster, next)) = self.seat(working, dense) else {
+            self.system.retain_clients(|c| c.id != dense);
             return self.reject(req, u, RejectReason::Unprofitable, t0, clock);
         };
-        commit_scored(&mut scored, dense, &candidate);
-        let cluster = candidate.cluster;
-        let alloc = scored.into_allocation();
         let profit_before = self.profit;
 
-        self.members = next_members;
+        self.members.push(u);
         self.dense_of[u.index()] = Some(dense.index());
-        self.population = grown;
-        self.alloc = alloc;
-        // Canonical profit: batch-score the *replayed* allocation, the
-        // same computation any auditor reproduces from the public
-        // accessors — so the reported number matches bit for bit.
-        self.profit = self.canonical_profit();
+        self.alloc = next;
+        self.settle(&[]);
         let profit = self.profit;
         self.stats.admitted += 1;
         telemetry::counter!("serve.admits").incr();
@@ -338,8 +338,7 @@ impl Engine {
             return self.reject(req, u, RejectReason::NotAdmitted, t0, clock);
         }
 
-        self.remove_members(&[u]);
-        self.profit = self.canonical_profit();
+        self.settle(&[ClientId(self.dense_of[u.index()].expect("admitted"))]);
         self.stats.departed += 1;
         let mut ops = vec![self.push_op(ModelOp::Departed { client: u })];
         ops.extend(self.after_mutation(clock));
@@ -384,29 +383,19 @@ impl Engine {
         // the old contract stays in force unless the new one carries a
         // positive marginal profit of its own.
         let dense = ClientId(self.dense_of[u.index()].expect("admitted"));
-        let old_rates = self.rates[u.index()];
-        self.rates[u.index()] = (rate_agreed, rate_predicted);
-        let renegotiated = self.build_population(&self.members.clone());
-        self.rates[u.index()] = old_rates;
-
-        let masked = renegotiated.with_failed_servers(&self.failed());
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
-        scored.clear_client(dense);
-        let candidate = best_cluster(&ctx, scored.alloc(), dense);
-        let Some(candidate) = candidate.filter(|c| c.score > 0.0) else {
+        self.system.set_client_rates(dense, rate_agreed, rate_predicted);
+        let mut working = self.alloc.clone();
+        working.reprice_client(&self.system, dense);
+        let Some((cluster, next)) = self.seat(working, dense) else {
+            let (agreed, predicted) = self.rates[u.index()];
+            self.system.set_client_rates(dense, agreed, predicted);
             return self.reject(req, u, RejectReason::Unprofitable, t0, clock);
         };
-        commit_scored(&mut scored, dense, &candidate);
-        let cluster = candidate.cluster;
-        let alloc = scored.into_allocation();
         let profit_before = self.profit;
 
         self.rates[u.index()] = (rate_agreed, rate_predicted);
-        self.population = renegotiated;
-        self.alloc = alloc;
-        self.profit = self.canonical_profit();
+        self.alloc = next;
+        self.settle(&[]);
         let profit = self.profit;
         self.stats.renegotiated += 1;
         telemetry::counter!("serve.renegotiations").incr();
@@ -451,6 +440,18 @@ impl Engine {
         }
     }
 
+    /// Clears `client` in `working` and runs one candidate search for it.
+    /// Returns the chosen cluster and the committed allocation when the
+    /// best candidate earns a positive marginal profit.
+    fn seat(&self, working: Allocation, client: ClientId) -> Option<(ClusterId, Allocation)> {
+        let ctx = SolverCtx::new(&self.system, &self.config.solver);
+        let mut scored = ScoredAllocation::lowered(&ctx.compiled, working);
+        scored.clear_client(client);
+        let candidate = best_cluster(&ctx, scored.alloc(), client).filter(|c| c.score > 0.0)?;
+        commit_scored(&mut scored, client, &candidate);
+        Some((candidate.cluster, scored.into_allocation()))
+    }
+
     fn reject(
         &mut self,
         req: u64,
@@ -478,20 +479,25 @@ impl Engine {
     /// Returns the emitted op-log entries.
     pub fn apply_faults(&mut self, events: &[FaultEvent]) -> Vec<(LogPosition, ModelOp)> {
         let mut ops = Vec::new();
-        let mut newly_failed: Vec<ServerId> = Vec::new();
+        // A failure strands placements when a served client lives on the
+        // dead server; the allocation stays as it is until after the loop.
+        let mut stranded = false;
+        let mut flipped = false;
         let mut spiked_members: Vec<ClientId> = Vec::new();
         for event in events {
             match *event {
                 FaultEvent::ServerFail { server } => {
                     if server.index() < self.down.len() && !self.down[server.index()] {
                         self.down[server.index()] = true;
-                        newly_failed.push(server);
+                        stranded |= !self.alloc.residents(server).is_empty();
+                        flipped = true;
                         ops.push(self.push_op(ModelOp::ServerDown { server }));
                     }
                 }
                 FaultEvent::ServerRecover { server } => {
                     if server.index() < self.down.len() && self.down[server.index()] {
                         self.down[server.index()] = false;
+                        flipped = true;
                         ops.push(self.push_op(ModelOp::ServerUp { server }));
                     }
                 }
@@ -501,8 +507,8 @@ impl Engine {
                         let spiked = predicted * factor;
                         if spiked.is_finite() && spiked > 0.0 {
                             self.rates[client.index()] = (agreed, spiked);
-                            if self.is_admitted(client) {
-                                self.population = self.build_population(&self.members.clone());
+                            if let Some(dense) = self.dense_of[client.index()] {
+                                self.system.set_client_rates(ClientId(dense), agreed, spiked);
                                 spiked_members.push(client);
                             }
                             ops.push(self.push_op(ModelOp::Renegotiated {
@@ -516,14 +522,20 @@ impl Engine {
             }
         }
 
-        // A failure strands placements when a served client lives on the
-        // dead server; decide before any re-seating shuffles dense ids.
-        let stranded = newly_failed.iter().any(|&s| {
-            self.members
-                .iter()
-                .enumerate()
-                .any(|(d, _)| self.alloc.placements(ClientId(d)).iter().any(|&(srv, _)| srv == s))
-        });
+        // An availability flip re-masks the population, the one change
+        // that rebuilds it from the universe; flips and spikes both move
+        // the loads the allocation derives from the population.
+        if flipped {
+            let mut system = self.universe.with_failed_servers(&self.failed());
+            system.retain_clients(|_| false);
+            for client in self.system.clients() {
+                system.add_client(client.clone());
+            }
+            self.system = system;
+        }
+        if flipped || !spiked_members.is_empty() {
+            self.alloc = self.alloc.replayed_onto(&self.system);
+        }
 
         // A spiked admitted client's stale placement may now be an
         // unstable queue (its arrival rate outgrew its GPS shares), which
@@ -534,11 +546,11 @@ impl Engine {
         }
         if stranded {
             ops.extend(self.repair());
-        } else if !ops.is_empty() && spiked_members.is_empty() {
+        } else if flipped && spiked_members.is_empty() {
             // Even without stranded placements the masked population
-            // changed (availability flips), so the canonical profit must
-            // be re-scored. Re-seating and repair already did.
-            self.profit = self.canonical_profit();
+            // changed, so the canonical profit must be re-scored.
+            // Re-seating and repair already did.
+            self.profit = evaluate(&self.system, &self.alloc).profit;
         }
         ops
     }
@@ -548,10 +560,8 @@ impl Engine {
     /// seat. Used after rate spikes, whose stale placements may violate
     /// stability.
     fn reseat(&mut self, members: &[ClientId]) -> Vec<(LogPosition, ModelOp)> {
-        let masked = self.masked_population();
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
+        let ctx = SolverCtx::new(&self.system, &self.config.solver);
+        let mut scored = ScoredAllocation::lowered(&ctx.compiled, self.alloc.clone());
         for &u in members {
             let Some(dense) = self.dense_of[u.index()] else { continue };
             let dense = ClientId(dense);
@@ -566,60 +576,25 @@ impl Engine {
         self.adopt(scored.into_allocation())
     }
 
-    /// The repair → shed → escalate state machine, mirroring the epoch
-    /// manager's: incremental repair floored at the naive drop-the-victims
-    /// baseline, escalating to bounded full re-solves when profit falls
-    /// below the degradation threshold of the pre-fault profit.
+    /// Runs the shared repair → shed → escalate state machine
+    /// ([`repair_failures`]) on the standing allocation, with the
+    /// pre-fault canonical profit as the escalation reference.
     fn repair(&mut self) -> Vec<(LogPosition, ModelOp)> {
         let _span = telemetry::span!("serve.repair");
         telemetry::counter!("serve.repairs").incr();
-        let reference = self.profit;
-        let failed = self.failed();
-        let masked = self.population.with_failed_servers(&failed);
-        let stale = self.alloc.replayed_onto(&masked);
-
-        // Naive baseline: drop every client that touches a dead server.
-        let mut dead = vec![false; masked.num_servers()];
-        for &s in &failed {
-            dead[s.index()] = true;
-        }
-        let mut naive = stale.clone();
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                naive.clear_client(&masked, client);
-            }
-        }
-        let naive_profit = evaluate(&masked, &naive).profit;
-
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored = ScoredAllocation::lowered(&ctx.compiled, stale);
-        ops::repair_failed_servers(&ctx, &mut scored, &failed);
-        ops::shed_unprofitable(&ctx, &mut scored);
-        let mut repaired = scored.into_allocation();
-        let mut repaired_profit = evaluate(&masked, &repaired).profit;
-        if repaired_profit < naive_profit {
-            repaired = naive;
-            repaired_profit = naive_profit;
-        }
-
-        let floor = self.config.repair.degradation_threshold * reference;
-        if reference > 0.0 && repaired_profit < floor {
-            telemetry::counter!("serve.repair.escalations").incr();
-            let _esc = telemetry::span!("serve.repair.escalate");
-            for retry in 0..=self.config.repair.max_resolve_retries {
-                let result =
-                    solve(&masked, &self.config.solver, self.escalation_seed(retry as u64));
-                let profit = evaluate(&masked, &result.allocation).profit;
-                if profit > repaired_profit {
-                    repaired_profit = profit;
-                    repaired = result.allocation;
-                }
-                if repaired_profit >= floor {
-                    break;
-                }
-            }
-        }
+        let ctx = SolverCtx::new(&self.system, &self.config.solver);
+        let (repaired, _) = repair_failures(
+            &ctx,
+            self.alloc.clone(),
+            &self.failed(),
+            self.profit,
+            self.config.repair,
+            self.config.seed,
+            || {
+                telemetry::counter!("serve.repair.escalations").incr();
+                telemetry::span!("serve.repair.escalate")
+            },
+        );
         self.adopt(repaired)
     }
 
@@ -641,10 +616,8 @@ impl Engine {
             self.plan = Some(plan);
         }
 
-        let masked = self.masked_population();
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
+        let ctx = SolverCtx::new(&self.system, &self.config.solver);
+        let mut scored = ScoredAllocation::lowered(&ctx.compiled, self.alloc.clone());
         cloudalloc_core::improve_scored(&ctx, &mut scored, self.fold_seed());
         ops::shed_unprofitable(&ctx, &mut scored);
         ops.extend(self.adopt(scored.into_allocation()));
@@ -661,8 +634,7 @@ impl Engine {
 
     /// Installs a post-repair/post-fold allocation over the *current*
     /// population: emits `Placements` deltas for moved members, sheds
-    /// members the new allocation no longer serves, and refreshes the
-    /// canonical profit.
+    /// members the new allocation no longer serves, and settles.
     fn adopt(&mut self, next: Allocation) -> Vec<(LogPosition, ModelOp)> {
         let mut moved: Vec<ModelOp> = Vec::new();
         let mut gone: Vec<ClientId> = Vec::new();
@@ -670,7 +642,7 @@ impl Engine {
             let dense = ClientId(d);
             let (old_p, new_p) = (self.alloc.placements(dense), next.placements(dense));
             if new_p.is_empty() {
-                gone.push(u);
+                gone.push(dense);
             } else if old_p != new_p || self.alloc.cluster_of(dense) != next.cluster_of(dense) {
                 let cluster = next.cluster_of(dense).expect("placed clients are assigned");
                 moved.push(ModelOp::Placements {
@@ -683,15 +655,12 @@ impl Engine {
         self.alloc = next;
         let mut ops: Vec<(LogPosition, ModelOp)> =
             moved.into_iter().map(|op| self.push_op(op)).collect();
-        for &u in &gone {
-            ops.push(self.push_op(ModelOp::Shed { client: u }));
+        for &dense in &gone {
+            ops.push(self.push_op(ModelOp::Shed { client: self.members[dense.index()] }));
             telemetry::counter!("serve.sheds").incr();
         }
         self.stats.shed += gone.len() as u64;
-        if !gone.is_empty() {
-            self.remove_members(&gone);
-        }
-        self.profit = self.canonical_profit();
+        self.settle(&gone);
         ops
     }
 
@@ -708,57 +677,25 @@ impl Engine {
     // Population plumbing
     // ------------------------------------------------------------------
 
-    /// Builds the dense system for a membership list, applying the
-    /// current (possibly renegotiated) rates.
-    fn build_population(&self, members: &[ClientId]) -> CloudSystem {
-        let clients = members
-            .iter()
-            .enumerate()
-            .map(|(d, &u)| {
-                let mut c = self.universe.client(u).clone();
-                c.id = ClientId(d);
-                (c.rate_agreed, c.rate_predicted) = self.rates[u.index()];
-                c
-            })
-            .collect();
-        self.universe
-            .try_with_clients(clients)
-            .expect("universe clients re-validate against their own catalog")
-    }
-
-    /// Removes members (universe ids), renumbering the dense population
-    /// and carrying surviving placements over to their new dense ids.
-    fn remove_members(&mut self, gone: &[ClientId]) {
-        let survivors: Vec<ClientId> =
-            self.members.iter().copied().filter(|u| !gone.contains(u)).collect();
-        let next_population = self.build_population(&survivors);
-        let mut next_alloc = Allocation::new(&next_population);
-        for (new_d, &u) in survivors.iter().enumerate() {
-            let old_d = ClientId(self.dense_of[u.index()].expect("member"));
-            if let Some(cluster) = self.alloc.cluster_of(old_d) {
-                next_alloc.assign_cluster(ClientId(new_d), cluster);
-                for &(server, placement) in self.alloc.placements(old_d) {
-                    next_alloc.place(&next_population, ClientId(new_d), server, placement);
-                }
+    /// Ends a mutation: removes the members in `gone` (dense ids) from the
+    /// population, keeping the order of the rest, then makes the standing
+    /// allocation canonical with one replay — a renumbering one when
+    /// somebody left — and re-scores the canonical profit.
+    fn settle(&mut self, gone: &[ClientId]) {
+        if !gone.is_empty() {
+            self.system.retain_clients(|c| !gone.contains(&c.id));
+            for &dense in gone {
+                self.dense_of[self.members[dense.index()].index()] = None;
+            }
+            self.members.retain(|u| self.dense_of[u.index()].is_some());
+            for (dense, &u) in self.members.iter().enumerate() {
+                self.dense_of[u.index()] = Some(dense);
             }
         }
-        for &u in gone {
-            self.dense_of[u.index()] = None;
-        }
-        for (new_d, &u) in survivors.iter().enumerate() {
-            self.dense_of[u.index()] = Some(new_d);
-        }
-        self.members = survivors;
-        self.population = next_population;
-        self.alloc = next_alloc;
-    }
-
-    /// The canonical batch score of the served population: `evaluate` on
-    /// the masked dense system — the number an external re-score of the
-    /// same population reproduces exactly.
-    fn canonical_profit(&self) -> f64 {
-        let masked = self.masked_population();
-        evaluate(&masked, &self.alloc.replayed_onto(&masked)).profit
+        self.alloc = self.alloc.replayed_without(&self.system, gone);
+        // The canonical batch score — what an external re-score of the
+        // same population reproduces exactly.
+        self.profit = evaluate(&self.system, &self.alloc).profit;
     }
 
     fn failed(&self) -> Vec<ServerId> {
@@ -786,10 +723,6 @@ impl Engine {
     fn fold_seed(&self) -> u64 {
         (self.config.seed ^ 0x5E87_E5EE_D000_0000)
             .wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn escalation_seed(&self, retry: u64) -> u64 {
-        (self.config.seed ^ 0xFA17_5EED).wrapping_add(retry.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 

@@ -13,7 +13,7 @@
 //! byte — is reproducible.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
@@ -47,9 +47,16 @@ pub struct ServeSummary {
     pub epoch: u64,
 }
 
+/// Longest request line accepted, newline included: far above the longest
+/// valid request, so only a peer that never ends its line reaches it.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 enum Input {
     Conn(u64, TcpStream),
     Line(u64, String),
+    /// The connection's line reached [`MAX_LINE_BYTES`]; its reader quit,
+    /// and dropping its writer closes it.
+    Oversized(u64),
     Gone(u64),
     AcceptDone,
 }
@@ -84,6 +91,9 @@ pub fn serve(
                 let _ = send(&mut stream, &engine.welcome());
                 writers.insert(id, stream);
             }
+            // A connection without a writer said `Bye` or went away: it is
+            // owed no reply, so what it still sends changes nothing.
+            Input::Line(id, _) if !writers.contains_key(&id) => {}
             Input::Line(id, line) => match decode_line::<ClientMessage>(&line) {
                 Err(WireError::Empty) => {}
                 Err(err) => {
@@ -114,6 +124,13 @@ pub fn serve(
                     }
                 }
             },
+            Input::Oversized(id) => {
+                if let Some(mut w) = writers.remove(&id) {
+                    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    let _ = send(&mut w, &ServerMessage::Error { req: 0, message });
+                }
+                subscribers.remove(&id);
+            }
             Input::Gone(id) => {
                 writers.remove(&id);
                 subscribers.remove(&id);
@@ -174,20 +191,21 @@ fn read_loop(id: u64, stream: TcpStream, tx: mpsc::Sender<Input>) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            // EOF. A non-empty buffer here is a line truncated by a
-            // mid-request disconnect; it is dropped — the peer that never
-            // finished its request is in no position to read an answer.
-            Ok(0) => break,
-            Ok(_) => {
-                if !line.ends_with('\n') {
-                    break;
-                }
+        match reader.by_ref().take(MAX_LINE_BYTES as u64).read_line(&mut line) {
+            Ok(_) if line.ends_with('\n') => {
                 if tx.send(Input::Line(id, line.clone())).is_err() {
                     return;
                 }
             }
-            Err(_) => break,
+            Ok(MAX_LINE_BYTES) => {
+                let _ = tx.send(Input::Oversized(id));
+                break;
+            }
+            // EOF or a read error. A non-empty buffer here is a line
+            // truncated by a mid-request disconnect; it is dropped — the
+            // peer that never finished its request is in no position to
+            // read an answer.
+            _ => break,
         }
     }
     let _ = tx.send(Input::Gone(id));

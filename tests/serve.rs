@@ -210,7 +210,7 @@ fn served_profit_matches_batch_score_of_final_population_exactly() {
     let (summary, engine) = handle.join().expect("server thread");
     let population = engine.masked_population();
     let allocation = engine.allocation();
-    let batch = evaluate(&population, &allocation);
+    let batch = evaluate(population, allocation);
     assert_eq!(
         engine.profit().to_bits(),
         batch.profit.to_bits(),
@@ -222,8 +222,8 @@ fn served_profit_matches_batch_score_of_final_population_exactly() {
 
     // And the allocation the profit was scored on is a valid plan: the
     // only tolerated violation class is declined admission.
-    allocation.assert_consistent(&population);
-    assert!(check_feasibility(&population, &allocation)
+    allocation.assert_consistent(population);
+    assert!(check_feasibility(population, allocation)
         .iter()
         .all(|v| matches!(v, Violation::Unassigned { .. })));
 }
@@ -406,4 +406,65 @@ fn subscribed_lockstep_session_does_not_stall() {
     let deltas = transcript.lines().filter(|l| l.contains("\"Delta\"")).count();
     assert!(deltas >= ADMITS / 4, "too few accepted admits to exercise the stall: {deltas}");
     assert!(mean_ms < 5.0, "subscribed lockstep requests take {mean_ms:.2} ms on average");
+}
+
+/// A `Bye` ends the session: lines that follow it in the same write are
+/// dropped, not handled without a reply.
+#[test]
+fn lines_after_bye_change_nothing() {
+    let (addr, handle) = spawn_server(12, 1, 2);
+    let mut s = Session::connect(addr);
+    // Admits for the whole universe, so that handling them would admit
+    // somebody: the paper scenario is profitable.
+    let mut lines = String::new();
+    let admits = (0..12).map(|i| ClientMessage::Admit { req: 2 + i as u64, client: ClientId(i) });
+    for msg in std::iter::once(ClientMessage::Bye { req: 1 }).chain(admits) {
+        lines.push_str(&encode_line(&msg));
+        lines.push('\n');
+    }
+    s.stream.write_all(lines.as_bytes()).expect("send Bye and Admits in one write");
+    assert_eq!(s.recv(), ServerMessage::Bye { req: 1 });
+
+    let mut next = Session::connect(addr);
+    match next.request(&ClientMessage::Query { req: 20 }) {
+        ServerMessage::State { admitted, .. } => assert_eq!(admitted, 0),
+        other => panic!("unexpected query reply: {other:?}"),
+    }
+    next.bye(21);
+    drop(s);
+    let (_, engine) = handle.join().expect("server thread");
+    assert!(engine.members().is_empty(), "an Admit after Bye changed state");
+}
+
+/// A peer that never ends its line gets a typed error and loses its
+/// connection once the line outgrows the cap; the server's memory stays
+/// bounded and it keeps serving other sessions.
+#[test]
+fn oversized_line_is_refused_and_the_server_keeps_serving() {
+    let (addr, handle) = spawn_server(12, 1, 2);
+    {
+        let mut s = Session::connect(addr);
+        s.stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("read timeout");
+        // The server may close the connection before the tail of the
+        // line is written, so the write itself may fail.
+        let _ = s.stream.write_all(&vec![b'x'; 80 * 1024]);
+        match s.recv() {
+            ServerMessage::Error { req, .. } => assert_eq!(req, 0),
+            other => panic!("oversized line got {other:?}"),
+        }
+        let mut rest = String::new();
+        assert!(
+            matches!(s.reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "connection still open after an oversized line: {rest:?}"
+        );
+    }
+
+    let mut s = Session::connect(addr);
+    assert!(matches!(
+        s.request(&ClientMessage::Admit { req: 1, client: ClientId(0) }),
+        ServerMessage::Admitted { .. } | ServerMessage::Rejected { .. }
+    ));
+    s.bye(2);
+    let (summary, _) = handle.join().expect("server thread");
+    assert_eq!(summary.connections, 2);
 }

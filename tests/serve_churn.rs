@@ -1,14 +1,16 @@
 //! Churn chaos harness for the admission engine: seeded arrival and
 //! departure storms interleaved with server failures, recoveries and
 //! rate spikes from a [`FaultPlan`]. After every request the standing
-//! state must hold three contracts:
+//! state must hold four contracts:
 //!
 //! 1. the allocation is consistent with the masked population and
 //!    violates no hard constraint (declined admission is the only
 //!    tolerated violation class);
-//! 2. the reported profit equals the batch scorer's verdict on the
+//! 2. the allocation is canonical: it equals its own replay onto the
+//!    masked population, bit for bit;
+//! 3. the reported profit equals the batch scorer's verdict on the
 //!    served population, bit for bit;
-//! 3. a shed client is *gone*: the server never answers its next admit
+//! 4. a shed client is *gone*: the server never answers its next admit
 //!    with `AlreadyAdmitted` — it gets a fresh decision.
 //!
 //! The storm is replayed twice from the same seed and must produce an
@@ -55,9 +57,16 @@ fn storm_plan(seed: u64) -> FaultPlan {
 fn audit(engine: &Engine, step: usize) {
     let population = engine.masked_population();
     let allocation = engine.allocation();
-    allocation.assert_consistent(&population);
+    allocation.assert_consistent(population);
+    // The reported profit is exact because the standing allocation is
+    // canonical: replaying it onto the population reproduces it exactly
+    // (`==` compares the loads as exact f64 values).
     assert!(
-        check_feasibility(&population, &allocation)
+        *allocation == allocation.replayed_onto(population),
+        "step {step}: standing allocation is not canonical"
+    );
+    assert!(
+        check_feasibility(population, allocation)
             .iter()
             .all(|v| matches!(v, Violation::Unassigned { .. })),
         "step {step}: allocation violates a hard constraint"
@@ -75,7 +84,7 @@ fn audit(engine: &Engine, step: usize) {
             "step {step}: admitted client (dense {dense}) has no placements"
         );
     }
-    let batch = evaluate(&population, &allocation).profit;
+    let batch = evaluate(population, allocation).profit;
     assert_eq!(
         engine.profit().to_bits(),
         batch.to_bits(),
@@ -127,7 +136,7 @@ fn run_storm(seed: u64) -> String {
                 if shed_ever.contains(&client.index()) && !engine.is_admitted(client));
             let outcome = engine.handle(&msg, &clock);
             if was_shed {
-                // Contract 3: a shed client's re-admit is a fresh decision.
+                // Contract 4: a shed client's re-admit is a fresh decision.
                 assert!(
                     !matches!(
                         outcome.response,
