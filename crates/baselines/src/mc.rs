@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use cloudalloc_core::ops::Reassign;
 use cloudalloc_core::{improve, random_assignment, SolverConfig, SolverCtx};
 use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ScoredAllocation};
 
@@ -54,10 +55,14 @@ pub struct McOutcome {
 
 /// Repeats the reassignment local search until no client moves (the
 /// paper's "this repeats until no further reassignment is possible").
-fn reassign_until_stable(ctx: &SolverCtx<'_>, scored: &mut ScoredAllocation<'_>) {
+fn reassign_until_stable(
+    ctx: &SolverCtx<'_>,
+    reassign: &mut Reassign,
+    scored: &mut ScoredAllocation<'_>,
+) {
     let order: Vec<ClientId> = (0..ctx.system.num_clients()).map(ClientId).collect();
     for _ in 0..ctx.config.max_rounds {
-        if !cloudalloc_core::ops::reassign_clients(ctx, scored, &order) {
+        if !reassign.pass(ctx, scored, &order) {
             break;
         }
         scored.commit();
@@ -79,12 +84,13 @@ pub fn monte_carlo(system: &CloudSystem, config: &McConfig, seed: u64) -> McOutc
     let mut best: Option<(f64, Allocation)> = None;
     let mut worst_raw = f64::INFINITY;
     let mut worst_polished = f64::INFINITY;
+    let mut reassign = Reassign::new(&ctx);
     for _ in 0..config.iterations {
         let mut scored =
             ScoredAllocation::lowered(&ctx.compiled, random_assignment(&ctx, &mut rng));
         let raw = scored.profit();
         worst_raw = worst_raw.min(raw);
-        reassign_until_stable(&ctx, &mut scored);
+        reassign_until_stable(&ctx, &mut reassign, &mut scored);
         let polished = scored.profit();
         worst_polished = worst_polished.min(polished);
         if best.as_ref().is_none_or(|(p, _)| polished > *p) {

@@ -5,9 +5,14 @@
 //! module provides a cheap *certificate*: a bound no feasible allocation
 //! can exceed, obtained by relaxing every coupling constraint:
 //!
-//! * each client is granted an **entire server of the best class for it**
-//!   (`φ = 1` on both resources, no competition, `α = 1`), which lower-
-//!   bounds its response time and so upper-bounds its revenue;
+//! * each client is granted **every server of the best cluster for it**
+//!   that fits its disk, whole (`φ = 1` on both resources, no
+//!   competition), pooled into one M/M/1 queue per resource. Splitting
+//!   `λ` as `x_j` over servers of service rates `s_j` gives a response
+//!   time `Σ_j x_j/(s_j − x_j) / λ`, and `x/(s − x)` is convex and
+//!   1-homogeneous, so the sum is at least `λ/(S − λ)` with `S = Σ_j s_j`:
+//!   `R ≥ 1/(S^p_k − λ) + 1/(S^c_k − λ)`. That lower-bounds the client's
+//!   response time and so upper-bounds its revenue;
 //! * total cost is lower-bounded by each client's **cheapest possible
 //!   marginal utilization cost** `min_j P1_j·λ·t̄^p/C^p_j` (constant
 //!   costs `P0 ≥ 0` are dropped entirely);
@@ -16,8 +21,8 @@
 //!
 //! The bound is loose under contention (many clients per server) but
 //! tight enough to certify single-digit optimality gaps on the paper's
-//! scenarios — and it is exact on a system with one client per dedicated
-//! best-class server and negligible `P0`.
+//! scenarios — and it is exact on a system with one client per
+//! single-server cluster and negligible `P0`.
 
 use cloudalloc_model::{ClientId, CloudSystem};
 
@@ -26,8 +31,8 @@ use cloudalloc_model::{ClientId, CloudSystem};
 pub struct ClientBound {
     /// The client.
     pub client: ClientId,
-    /// Lowest achievable mean response time (a dedicated best server);
-    /// `∞` when no single server can stably host the client.
+    /// Lower bound on the mean response time (the pooled servers of the
+    /// best cluster); `∞` when no cluster can stably host the client.
     pub best_response: f64,
     /// Revenue upper bound `λ̃·U(best_response)`.
     pub revenue_bound: f64,
@@ -44,38 +49,51 @@ impl ClientBound {
 
 /// Computes the per-client relaxation bounds.
 pub fn client_bounds(system: &CloudSystem) -> Vec<ClientBound> {
+    let classes = system.server_classes();
+    // Servers per (cluster, class): a cluster's pooled capacity for a
+    // client depends only on these counts.
+    let mut count = vec![0.0f64; system.num_clusters() * classes.len()];
+    for server in system.servers() {
+        count[server.cluster.index() * classes.len() + server.class.index()] += 1.0;
+    }
     system
         .clients()
         .iter()
         .map(|c| {
             let mut best_response = f64::INFINITY;
-            let mut cost_floor = f64::INFINITY;
-            for class in system.server_classes() {
-                // Dedicated server of this class: φ = 1, α = 1.
-                let service_p = class.cap_processing / c.exec_processing;
-                let service_c = class.cap_communication / c.exec_communication;
-                if service_p > c.rate_predicted
-                    && service_c > c.rate_predicted
-                    && class.cap_storage >= c.storage
-                {
+            for cluster in count.chunks(classes.len()) {
+                // Pooled service rates of the servers that fit the disk.
+                let (mut pooled_p, mut pooled_c) = (0.0, 0.0);
+                for (class, &n) in classes.iter().zip(cluster) {
+                    if n > 0.0 && class.cap_storage >= c.storage {
+                        pooled_p += n * class.cap_processing / c.exec_processing;
+                        pooled_c += n * class.cap_communication / c.exec_communication;
+                    }
+                }
+                if pooled_p > c.rate_predicted && pooled_c > c.rate_predicted {
                     let t =
-                        1.0 / (service_p - c.rate_predicted) + 1.0 / (service_c - c.rate_predicted);
+                        1.0 / (pooled_p - c.rate_predicted) + 1.0 / (pooled_c - c.rate_predicted);
                     best_response = best_response.min(t);
                 }
-                let marginal = class.cost_per_utilization * c.rate_predicted * c.exec_processing
-                    / class.cap_processing;
-                cost_floor = cost_floor.min(marginal);
             }
             let revenue_bound = if best_response.is_finite() {
                 c.rate_agreed * system.utility_of(c.id).value(best_response)
             } else {
                 0.0
             };
-            // No hostable server ⇒ the client contributes nothing either
+            // No hostable cluster ⇒ the client contributes nothing either
             // way; zero the floor so margins stay well-defined.
-            if !best_response.is_finite() {
-                cost_floor = 0.0;
-            }
+            let cost_floor = if best_response.is_finite() {
+                classes
+                    .iter()
+                    .map(|class| {
+                        class.cost_per_utilization * c.rate_predicted * c.exec_processing
+                            / class.cap_processing
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            } else {
+                0.0
+            };
             ClientBound { client: c.id, best_response, revenue_bound, cost_floor }
         })
         .collect()
@@ -125,6 +143,25 @@ mod tests {
             (bound - achieved) / bound < 0.01,
             "bound {bound} not tight vs achieved {achieved}"
         );
+    }
+
+    #[test]
+    fn bound_holds_when_a_client_splits_its_traffic() {
+        // λ = 7 nearly saturates either rate-8 server, so the solver
+        // splits the client over both; a one-server bound (R ≥ 2, bound
+        // 41.56) sat below the achieved 63.34.
+        use cloudalloc_model::{SystemBuilder, UtilityFunction};
+        let mut b = SystemBuilder::new();
+        let class = b.server_class(4.0, 4.0, 4.0, 0.0, 0.5);
+        let sla = b.utility_class(UtilityFunction::linear(10.0, 2.0));
+        let k = b.cluster();
+        b.servers(k, class, 2);
+        b.client(sla, 7.0, 0.5, 0.5, 0.5);
+        let system = b.build();
+        let bound = profit_upper_bound(&system);
+        let achieved = solve(&system, &SolverConfig::default(), 1).report.profit;
+        assert!(achieved > 60.0, "the solver no longer splits: {achieved}");
+        assert!(bound >= achieved - 1e-9, "bound {bound} below achieved {achieved}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    ([`ops::adjust_resource_shares`]), per-client dispersion
 //!    re-balancing ([`ops::adjust_dispersion_rates`]), server activation
 //!    and shutdown ([`ops::turn_on_servers`], [`ops::turn_off_servers`]),
-//!    and inter-cluster reassignment ([`ops::reassign_clients`]), looped
+//!    and inter-cluster reassignment ([`ops::Reassign`]), looped
 //!    until the profit is steady.
 //!
 //! Every operator commits only profit-improving changes, so

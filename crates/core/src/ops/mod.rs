@@ -12,7 +12,7 @@ mod turnoff;
 mod turnon;
 
 pub use disperse::adjust_dispersion_rates;
-pub use reassign::reassign_clients;
+pub use reassign::Reassign;
 pub use repair::{
     repair_failed_servers, repair_failed_servers_within, shed_unprofitable, RepairStats,
 };

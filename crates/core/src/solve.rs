@@ -16,8 +16,8 @@ use crate::config::SolverConfig;
 use crate::ctx::SolverCtx;
 use crate::initial::best_initial;
 use crate::ops::{
-    adjust_dispersion_rates, adjust_resource_shares, reassign_clients, swap_clients,
-    turn_off_servers, turn_on_servers,
+    adjust_dispersion_rates, adjust_resource_shares, swap_clients, turn_off_servers,
+    turn_on_servers, Reassign,
 };
 use crate::par::{pass_seed, run_parallel};
 use crate::rounds::run_phase;
@@ -61,7 +61,8 @@ pub struct SearchStats {
 /// identical `(system, config, seed)` inputs yield bit-identical results
 /// regardless of `num_threads`. Reassignment fans out too, as blocks of
 /// snapshot-priced proposals whose accept tests replay serially against
-/// the evolving global profit (see `ops::reassign`); only the optional
+/// the evolving global profit, each pass re-searching only the clusters
+/// that changed since the last one (see `ops::reassign`); only the optional
 /// swap stays fully serial, though the candidate search inside it fans
 /// out per cluster.
 pub fn improve_scored(
@@ -76,57 +77,10 @@ pub fn improve_scored(
     let mut stats = SearchStats { history: vec![profit], ..Default::default() };
 
     let mut order: Vec<ClientId> = (0..system.num_clients()).map(ClientId).collect();
+    let mut reassign = Reassign::new(ctx);
     for round in 0..config.max_rounds {
         let _round_span = telemetry::span!("solve.round");
-        if config.adjust_shares {
-            let _span = telemetry::span!("solve.phase.shares");
-            run_phase(ctx, scored, |sim, k| {
-                // Servers in id order within the cluster; the operator
-                // never flips power states, so checking ON in-loop equals
-                // the phase-start snapshot.
-                for &server in ctx.compiled.cluster_servers(k) {
-                    if sim.alloc().is_on(server) {
-                        adjust_resource_shares(ctx, sim, server);
-                    }
-                }
-            });
-        }
-        if config.adjust_dispersion {
-            let _span = telemetry::span!("solve.phase.dispersion");
-            run_phase(ctx, scored, |sim, k| {
-                // Dispersion is client-local and never moves a client
-                // across clusters, so grouping clients under their
-                // phase-start cluster keeps the fan-out disjoint.
-                // Unassigned clients hold no branches — a no-op anyway.
-                for i in 0..system.num_clients() {
-                    let client = ClientId(i);
-                    if sim.alloc().cluster_of(client) == Some(k) {
-                        adjust_dispersion_rates(ctx, sim, client);
-                    }
-                }
-            });
-        }
-        if config.turn_on {
-            let _span = telemetry::span!("solve.phase.turn_on");
-            run_phase(ctx, scored, |sim, k| {
-                turn_on_servers(ctx, sim, k);
-            });
-        }
-        if config.turn_off {
-            let _span = telemetry::span!("solve.phase.turn_off");
-            run_phase(ctx, scored, |sim, k| {
-                turn_off_servers(ctx, sim, k);
-            });
-        }
-        if config.reassign {
-            let _span = telemetry::span!("solve.phase.reassign");
-            order.shuffle(&mut rng);
-            reassign_clients(ctx, scored, &order);
-        }
-        if config.swap {
-            let _span = telemetry::span!("solve.phase.swap");
-            swap_clients(ctx, scored, system.num_clients(), &mut rng);
-        }
+        search_round(ctx, scored, &mut rng, &mut order, &mut reassign);
         // Everything in this round is final: drop the undo journal so it
         // cannot grow across rounds.
         scored.commit();
@@ -146,6 +100,73 @@ pub fn improve_scored(
         profit = new_profit;
     }
     stats
+}
+
+/// The operators of one local-search round, in paper order, each
+/// committing only improving changes. `order` is reshuffled from `rng`
+/// before reassignment; `reassign` carries its memo across rounds.
+///
+/// Returns `true` when reassignment moved a client.
+pub(crate) fn search_round(
+    ctx: &SolverCtx<'_>,
+    scored: &mut ScoredAllocation<'_>,
+    rng: &mut StdRng,
+    order: &mut [ClientId],
+    reassign: &mut Reassign,
+) -> bool {
+    let system = ctx.system;
+    let config = ctx.config;
+    if config.adjust_shares {
+        let _span = telemetry::span!("solve.phase.shares");
+        run_phase(ctx, scored, |sim, k| {
+            // Servers in id order within the cluster; the operator
+            // never flips power states, so checking ON in-loop equals
+            // the phase-start snapshot.
+            for &server in ctx.compiled.cluster_servers(k) {
+                if sim.alloc().is_on(server) {
+                    adjust_resource_shares(ctx, sim, server);
+                }
+            }
+        });
+    }
+    if config.adjust_dispersion {
+        let _span = telemetry::span!("solve.phase.dispersion");
+        run_phase(ctx, scored, |sim, k| {
+            // Dispersion is client-local and never moves a client
+            // across clusters, so grouping clients under their
+            // phase-start cluster keeps the fan-out disjoint.
+            // Unassigned clients hold no branches — a no-op anyway.
+            for i in 0..system.num_clients() {
+                let client = ClientId(i);
+                if sim.alloc().cluster_of(client) == Some(k) {
+                    adjust_dispersion_rates(ctx, sim, client);
+                }
+            }
+        });
+    }
+    if config.turn_on {
+        let _span = telemetry::span!("solve.phase.turn_on");
+        run_phase(ctx, scored, |sim, k| {
+            turn_on_servers(ctx, sim, k);
+        });
+    }
+    if config.turn_off {
+        let _span = telemetry::span!("solve.phase.turn_off");
+        run_phase(ctx, scored, |sim, k| {
+            turn_off_servers(ctx, sim, k);
+        });
+    }
+    let mut moved = false;
+    if config.reassign {
+        let _span = telemetry::span!("solve.phase.reassign");
+        order.shuffle(rng);
+        moved = reassign.pass(ctx, scored, order);
+    }
+    if config.swap {
+        let _span = telemetry::span!("solve.phase.swap");
+        swap_clients(ctx, scored, system.num_clients(), rng);
+    }
+    moved
 }
 
 /// Runs the local-search phase in place on a plain allocation. Wraps it

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use cloudalloc_core::ops::Reassign;
 use cloudalloc_core::par::run_parallel;
 use cloudalloc_core::{improve, random_assignment, SolverConfig, SolverCtx};
 use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ScoredAllocation};
@@ -33,8 +34,14 @@ pub struct ParallelMcOutcome {
 }
 
 /// One deterministic iteration: a random assignment polished by the
-/// reassignment local search.
-fn run_iteration(ctx: &SolverCtx<'_>, seed: u64, iteration: usize) -> (Allocation, f64, f64) {
+/// reassignment local search. `reassign` is the shard's memo, kept across
+/// its iterations.
+fn run_iteration(
+    ctx: &SolverCtx<'_>,
+    reassign: &mut Reassign,
+    seed: u64,
+    iteration: usize,
+) -> (Allocation, f64, f64) {
     // SplitMix spreading keeps per-iteration streams independent.
     let mut z = seed ^ (iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -44,7 +51,7 @@ fn run_iteration(ctx: &SolverCtx<'_>, seed: u64, iteration: usize) -> (Allocatio
     let raw = scored.profit();
     let order: Vec<ClientId> = (0..ctx.system.num_clients()).map(ClientId).collect();
     for _ in 0..ctx.config.max_rounds {
-        if !cloudalloc_core::ops::reassign_clients(ctx, &mut scored, &order) {
+        if !reassign.pass(ctx, &mut scored, &order) {
             break;
         }
         scored.commit();
@@ -92,12 +99,13 @@ pub fn monte_carlo_parallel(
         let _span = telemetry::span!("mc.shard");
         let mut shard =
             Shard { best: None, worst_raw: f64::INFINITY, worst_polished: f64::INFINITY };
+        let mut reassign = Reassign::new(ctx);
         let mut done = 0u64;
         let mut idx = w;
         while idx < iterations {
             let _iter_span = telemetry::span!("mc.iteration");
             telemetry::counter!("mc.iterations").incr();
-            let (alloc, raw, polished) = run_iteration(ctx, seed, idx);
+            let (alloc, raw, polished) = run_iteration(ctx, &mut reassign, seed, idx);
             shard.worst_raw = shard.worst_raw.min(raw);
             shard.worst_polished = shard.worst_polished.min(polished);
             let better = match &shard.best {

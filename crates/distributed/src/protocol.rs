@@ -209,13 +209,14 @@ pub fn improve_distributed(ctx: &SolverCtx<'_>, alloc: &mut Allocation, seed: u6
     let mut order: Vec<ClientId> = (0..system.num_clients()).map(ClientId).collect();
     let mut profit = evaluate(system, alloc).profit;
     let mut rounds = 0;
+    let mut reassign = ops::Reassign::new(ctx);
     for _ in 0..config.max_rounds {
         *alloc = parallel_round(ctx, alloc);
         if config.reassign {
             order.shuffle(&mut rng);
             let owned = std::mem::replace(alloc, Allocation::new(system));
             let mut scored = ScoredAllocation::lowered(&ctx.compiled, owned);
-            ops::reassign_clients(ctx, &mut scored, &order);
+            reassign.pass(ctx, &mut scored, &order);
             *alloc = scored.into_allocation();
         }
         rounds += 1;
